@@ -9,7 +9,6 @@
 #include "ductape/ductape.h"
 #include "pdb/format.h"
 #include "pdb/pdb.h"
-#include "tools/tools.h"
 
 namespace {
 
@@ -116,9 +115,10 @@ void mergeBench(benchmark::State& state, Format format) {
     for (int i = 0; i < kInputs; ++i) {
       auto result = pdt::pdb::readBuffer(bytes);
       if (!result.ok()) state.SkipWithError("parse failed");
-      inputs.push_back(pdt::ductape::PDB::fromPdbFile(result.pdb));
+      inputs.push_back(pdt::ductape::PDB::fromPdbFile(std::move(result.pdb)));
     }
-    auto merged = pdt::tools::pdbmerge(std::move(inputs), 1);
+    pdt::ductape::PDB merged = std::move(inputs.front());
+    for (int i = 1; i < kInputs; ++i) merged.merge(inputs[i]);
     benchmark::DoNotOptimize(merged);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0) * kInputs);

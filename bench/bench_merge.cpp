@@ -60,12 +60,15 @@ void BM_MergeUnits(benchmark::State& state) {
                        : 1.0 - static_cast<double>(merged_items) /
                                    static_cast<double>(input_items);
 }
-// All shared (high duplication), mixed, all unique (no duplication).
+// All shared (high duplication), mixed, all unique (no duplication);
+// 16 vs 128 units of the same shape shows the per-step cost staying flat
+// as the merged database grows.
 BENCHMARK(BM_MergeUnits)
     ->Args({4, 20, 0})
     ->Args({4, 10, 10})
     ->Args({4, 0, 20})
-    ->Args({16, 10, 2});
+    ->Args({16, 10, 2})
+    ->Args({128, 10, 2});
 
 /// A synthetic on-disk corpus of `units` binary databases (written once
 /// per size and reused across iterations and configurations).
@@ -88,28 +91,28 @@ const std::vector<std::string>& corpusFiles(int units) {
   return cache.emplace(units, std::move(files)).first->second;
 }
 
-/// External sharded merge at 100-1000x krylov scale: units x jobs x
-/// memory budget. budget_mb=0 never spills; small budgets exercise the
-/// spill round trip. merge.shards / merge.spills are exported so the
-/// BENCH_pr6.json snapshot records how hard each configuration worked.
-void BM_ShardedMergeFiles(benchmark::State& state) {
+/// The file fold (tools::mergeFiles) at 100-1000x krylov scale: units x
+/// read jobs x memory budget. budget_mb=0 never spills; small budgets
+/// exercise the spill-and-reopen round trip, and the spills counter
+/// records how often each configuration paid for it.
+void BM_MergeFiles(benchmark::State& state) {
   const int units = static_cast<int>(state.range(0));
   const auto jobs = static_cast<std::size_t>(state.range(1));
   const auto budget_mb = static_cast<std::uint64_t>(state.range(2));
   const std::vector<std::string>& files = corpusFiles(units);
 
-  pdt::tools::ShardedMergeStats stats;
+  pdt::tools::MergeStats stats;
   std::size_t merged_items = 0;
   for (auto _ : state) {
-    pdt::tools::ShardedMergeOptions opts;
+    pdt::tools::MergeOptions opts;
     opts.jobs = jobs;
     opts.mem_budget_bytes = budget_mb * 1024 * 1024;
     opts.temp_dir = (std::filesystem::temp_directory_path() /
                      "pdt_bench_merge_spill")
                         .string();
-    auto result = pdt::tools::shardedMergeFiles(files, opts);
+    auto result = pdt::tools::mergeFiles(files, opts);
     if (!result.ok()) {
-      state.SkipWithError("sharded merge failed");
+      state.SkipWithError("merge failed");
       break;
     }
     stats = result.stats;
@@ -117,12 +120,11 @@ void BM_ShardedMergeFiles(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
   state.counters["merged_items"] = static_cast<double>(merged_items);
-  state.counters["shards"] = static_cast<double>(stats.shards);
   state.counters["spills"] = static_cast<double>(stats.spills);
   state.SetItemsProcessed(state.iterations() * units);
 }
 // units x jobs x budget_mb: serial vs parallel, unlimited vs tight.
-BENCHMARK(BM_ShardedMergeFiles)
+BENCHMARK(BM_MergeFiles)
     ->Args({64, 1, 0})
     ->Args({64, 8, 0})
     ->Args({64, 8, 4})

@@ -151,12 +151,13 @@ print(f"dataflow OK: format parity, clean corpus silent, seeded bugs found, "
       f"pdbduct skipped {skipped} section(s)")
 PY
 
-echo "== sharded merge =="
-# External merge at scale (docs/MERGE.md): generate a ~1k-TU synthetic
-# corpus with pdbgen, merge it in-memory and again under a memory budget
-# far smaller than the corpus (forcing shard spills), at two job counts.
-# Every output must be byte-identical, and the run-scoped spill
-# directory must be gone afterward.
+echo "== external merge =="
+# Merge at scale (docs/MERGE.md): generate a ~1k-TU synthetic corpus with
+# pdbgen and merge it in memory at two job counts and again under a
+# memory budget far smaller than the corpus (forcing the accumulator to
+# spill and reopen). Every output must be byte-identical, the budget runs
+# must really have spilled, and the run-scoped spill directory must be
+# gone afterward.
 SHARD_DIR="${BUILD}/ci_shard_corpus"
 rm -rf "${SHARD_DIR}"
 mkdir -p "${SHARD_DIR}"
@@ -164,13 +165,22 @@ mkdir -p "${SHARD_DIR}"
 corpus_mb="$(du -sm "${SHARD_DIR}" | cut -f1)"
 "${BUILD}/src/tools/pdbmerge" "${SHARD_DIR}"/tu_*.pdb \
     -o "${BUILD}/ci_shard_ref.pdb" -j "${JOBS}"
+"${BUILD}/src/tools/pdbmerge" "${SHARD_DIR}"/tu_*.pdb \
+    -o "${BUILD}/ci_shard_mem_j1.pdb" -j 1
+cmp "${BUILD}/ci_shard_ref.pdb" "${BUILD}/ci_shard_mem_j1.pdb"
 for j in 1 "${JOBS}"; do
     "${BUILD}/src/tools/pdbmerge" "${SHARD_DIR}"/tu_*.pdb \
-        -o "${BUILD}/ci_shard_j${j}.pdb" -j "${j}" --merge-mem-mb=8
+        -o "${BUILD}/ci_shard_j${j}.pdb" -j "${j}" --merge-mem-mb=8 \
+        --stats=json --stats-out "${BUILD}/ci_shard_j${j}.stats.json"
     cmp "${BUILD}/ci_shard_ref.pdb" "${BUILD}/ci_shard_j${j}.pdb"
     [ ! -e "${BUILD}/ci_shard_j${j}.pdb.merge-tmp" ]
+    python3 - "${BUILD}/ci_shard_j${j}.stats.json" <<'PY'
+import json, sys
+spills = json.load(open(sys.argv[1]))["counters"]["merge.spills"]
+assert spills > 0, f"--merge-mem-mb=8 run did not spill ({sys.argv[1]})"
+PY
 done
-echo "sharded merge OK: ${corpus_mb} MB corpus merged under an 8 MB budget"
+echo "external merge OK: ${corpus_mb} MB corpus merged under an 8 MB budget"
 
 echo "== build cache determinism =="
 # Compile the same inputs twice into a fresh cache directory: the first

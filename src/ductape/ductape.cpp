@@ -4,6 +4,7 @@
 #include <fstream>
 #include <map>
 #include <ostream>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -36,9 +37,9 @@ std::string pdbItem::fullName() const {
 // Construction from the typed representation
 // ---------------------------------------------------------------------------
 
-PDB PDB::fromPdbFile(const pdb::PdbFile& file) {
+PDB PDB::fromPdbFile(pdb::PdbFile file) {
   PDB out;
-  out.raw_ = file;
+  out.raw_ = std::move(file);
   out.raw_.reindex();
   out.graph_dirty_ = true;
   return out;
@@ -497,65 +498,92 @@ std::string macroKey(const pdb::MacroItem& m) {
   return joinKey(m.kind, m.name, m.text);
 }
 
+/// A namespace member as one hashable word.
+std::uint64_t memberKey(const pdb::ItemRef& ref) {
+  return (static_cast<std::uint64_t>(ref.kind) << 32) | ref.id;
+}
+
+/// The items a merge appended: the tail of a section from `from` on.
+template <typename T>
+std::span<T> tail(std::vector<T>& items, std::size_t from) {
+  return std::span<T>(items).subspan(from);
+}
+
 }  // namespace
+
+struct PDB::MergeKeys {
+  std::unordered_map<std::string, std::uint32_t> files, types, templates,
+      classes, routines, namespaces;
+  std::unordered_set<std::string> macros;
+  /// dp name -> index of the first row with that name.
+  std::unordered_map<std::string_view, std::size_t> dyn_profs;
+  /// Routines that already have a du stream.
+  std::unordered_set<std::uint32_t> du_routines;
+  /// Member sets of the namespaces a merge reopened, each built when its
+  /// namespace is first reopened and kept in step with its member list.
+  std::unordered_map<std::uint32_t, std::unordered_set<std::uint64_t>>
+      namespace_members;
+
+  explicit MergeKeys(const pdb::PdbFile& raw) {
+    // emplace keeps the first item per key, as every lookup expects.
+    for (const auto& f : raw.sourceFiles()) files.emplace(fileKey(f), f.id);
+    for (const auto& t : raw.types()) types.emplace(typeKey(t), t.id);
+    for (const auto& t : raw.templates())
+      templates.emplace(templateKey(raw, t), t.id);
+    for (const auto& c : raw.classes()) classes.emplace(classKey(c), c.id);
+    for (const auto& r : raw.routines())
+      routines.emplace(routineKey(raw, r), r.id);
+    for (const auto& n : raw.namespaces())
+      namespaces.emplace(namespaceKey(n), n.id);
+    for (const auto& m : raw.macros()) macros.insert(macroKey(m));
+    for (std::size_t i = 0; i < raw.dynProfs().size(); ++i)
+      dyn_profs.emplace(raw.dynProfs()[i].name, i);
+    for (const auto& d : raw.defUses()) du_routines.insert(d.routine);
+  }
+};
 
 void PDB::merge(const PDB& other) {
   PDT_TRACE_SCOPE("ductape.merge");
   trace::count(trace::Counter::MergeMerges);
   const pdb::PdbFile& theirs = other.raw_;
   const std::size_t items_before = raw_.itemCount();
+  // A database that was never merged into builds its keys now; after that
+  // each merge only adds the keys of what it appends.
+  if (keys_ == nullptr) keys_ = std::make_unique<MergeKeys>(raw_);
+  MergeKeys& keys = *keys_;
   // Items copied from `theirs` carry string views into its backings; the
   // merged database must keep that storage alive.
   raw_.adoptBackingsOf(theirs);
 
+  // Appended items land at the section tails; only they need fixups.
+  const std::size_t types_from = raw_.types().size();
+  const std::size_t templates_from = raw_.templates().size();
+  const std::size_t classes_from = raw_.classes().size();
+  const std::size_t routines_from = raw_.routines().size();
+  const std::size_t namespaces_from = raw_.namespaces().size();
+  const std::size_t dyn_profs_from = raw_.dynProfs().size();
+
   // Old-id -> merged-id maps, per kind.
   std::unordered_map<std::uint32_t, std::uint32_t> file_map, type_map,
       template_map, class_map, routine_map, namespace_map;
-  // Which merged items are newly appended (and need reference fixups).
-  std::vector<std::uint32_t> new_types, new_templates, new_classes, new_routines,
-      new_namespaces;
-
-  // Existing keys.
-  std::unordered_map<std::string, std::uint32_t> my_files, my_types, my_templates,
-      my_classes, my_routines, my_namespaces;
-  std::unordered_set<std::string> my_macros;
-  for (const auto& f : raw_.sourceFiles()) my_files.emplace(fileKey(f), f.id);
-  for (const auto& t : raw_.types()) my_types.emplace(typeKey(t), t.id);
-  for (const auto& t : raw_.templates())
-    my_templates.emplace(templateKey(raw_, t), t.id);
-  for (const auto& c : raw_.classes()) my_classes.emplace(classKey(c), c.id);
-  for (const auto& r : raw_.routines())
-    my_routines.emplace(routineKey(raw_, r), r.id);
-  for (const auto& n : raw_.namespaces())
-    my_namespaces.emplace(namespaceKey(n), n.id);
-  for (const auto& m : raw_.macros()) my_macros.insert(macroKey(m));
 
   // Files.
   for (const auto& f : theirs.sourceFiles()) {
-    if (const auto it = my_files.find(fileKey(f)); it != my_files.end()) {
-      file_map[f.id] = it->second;
-      continue;
+    const auto [it, fresh] = keys.files.try_emplace(fileKey(f), 0);
+    if (fresh) {
+      pdb::SourceFileItem copy = f;
+      copy.id = 0;
+      // The include list still holds ids from `theirs`; drop it so the
+      // pass below rebuilds it from remapped ids. Keeping it would union
+      // remapped ids onto stale ones whenever the id spaces differ.
+      copy.includes.clear();
+      it->second = raw_.addSourceFile(std::move(copy));
     }
-    pdb::SourceFileItem copy = f;
-    copy.id = 0;
-    // The include list still holds ids from `theirs`; drop it so the fixup
-    // pass below rebuilds it from remapped ids. Keeping it would union
-    // remapped ids onto stale ones whenever the id spaces differ (as they
-    // do for the intermediates of the tree-reduction pdbmerge).
-    copy.includes.clear();
-    const std::uint32_t id = raw_.addSourceFile(std::move(copy));
-    file_map[f.id] = id;
-    my_files.emplace(fileKey(f), id);
+    file_map[f.id] = it->second;
   }
   // Fix include lists of newly added files and union those of duplicates.
-  // Indexed by id up front — scanning raw_.sourceFiles() per input file made
-  // this quadratic in the number of files.
-  std::unordered_map<std::uint32_t, std::size_t> mine_file_at;
-  mine_file_at.reserve(raw_.sourceFiles().size());
-  for (std::size_t i = 0; i < raw_.sourceFiles().size(); ++i)
-    mine_file_at.emplace(raw_.sourceFiles()[i].id, i);
   for (const auto& f : theirs.sourceFiles()) {
-    auto& mine = raw_.sourceFiles()[mine_file_at.at(file_map.at(f.id))];
+    auto& mine = *raw_.findSourceFile(file_map.at(f.id));
     std::vector<std::uint32_t> remapped;
     for (const std::uint32_t inc : f.includes) {
       if (const auto it = file_map.find(inc); it != file_map.end())
@@ -587,51 +615,42 @@ void PDB::merge(const PDB& other) {
 
   // Types (refs fixed after all type ids are known).
   for (const auto& t : theirs.types()) {
-    if (const auto it = my_types.find(typeKey(t)); it != my_types.end()) {
-      type_map[t.id] = it->second;
-      continue;
+    const auto [it, fresh] = keys.types.try_emplace(typeKey(t), 0);
+    if (fresh) {
+      pdb::TypeItem copy = t;
+      copy.id = 0;
+      it->second = raw_.addType(std::move(copy));
     }
-    pdb::TypeItem copy = t;
-    copy.id = 0;
-    const std::uint32_t id = raw_.addType(std::move(copy));
-    type_map[t.id] = id;
-    new_types.push_back(id);
-    my_types.emplace(typeKey(t), id);
+    type_map[t.id] = it->second;
   }
 
   // Templates: duplicates (same kind/name/location) are eliminated —
   // the paper's headline pdbmerge behaviour.
   for (const auto& t : theirs.templates()) {
-    if (const auto it = my_templates.find(templateKey(theirs, t));
-        it != my_templates.end()) {
-      template_map[t.id] = it->second;
-      continue;
+    const auto [it, fresh] =
+        keys.templates.try_emplace(templateKey(theirs, t), 0);
+    if (fresh) {
+      pdb::TemplateItem copy = t;
+      copy.id = 0;
+      remapPos(copy.location);
+      remapExtent(copy.extent);
+      it->second = raw_.addTemplate(std::move(copy));
     }
-    pdb::TemplateItem copy = t;
-    copy.id = 0;
-    remapPos(copy.location);
-    remapExtent(copy.extent);
-    const std::uint32_t id = raw_.addTemplate(std::move(copy));
-    template_map[t.id] = id;
-    new_templates.push_back(id);
-    my_templates.emplace(templateKey(theirs, t), id);
+    template_map[t.id] = it->second;
   }
 
   // Classes: duplicate instantiations ("Stack<int>" from two translation
   // units) collapse to one item.
   for (const auto& c : theirs.classes()) {
-    if (const auto it = my_classes.find(classKey(c)); it != my_classes.end()) {
-      class_map[c.id] = it->second;
-      continue;
+    const auto [it, fresh] = keys.classes.try_emplace(classKey(c), 0);
+    if (fresh) {
+      pdb::ClassItem copy = c;
+      copy.id = 0;
+      remapPos(copy.location);
+      remapExtent(copy.extent);
+      it->second = raw_.addClass(std::move(copy));
     }
-    pdb::ClassItem copy = c;
-    copy.id = 0;
-    remapPos(copy.location);
-    remapExtent(copy.extent);
-    const std::uint32_t id = raw_.addClass(std::move(copy));
-    class_map[c.id] = id;
-    new_classes.push_back(id);
-    my_classes.emplace(classKey(c), id);
+    class_map[c.id] = it->second;
   }
 
   // Routines. When the duplicate pair is a declaration (one TU sees only a
@@ -641,105 +660,91 @@ void PDB::merge(const PDB& other) {
   // of that routine. Collected here, applied after the id maps close.
   std::vector<std::pair<std::uint32_t, const pdb::RoutineItem*>> dup_routines;
   for (const auto& r : theirs.routines()) {
-    if (const auto it = my_routines.find(routineKey(theirs, r));
-        it != my_routines.end()) {
-      routine_map[r.id] = it->second;
+    const auto [it, fresh] =
+        keys.routines.try_emplace(routineKey(theirs, r), 0);
+    if (fresh) {
+      pdb::RoutineItem copy = r;
+      copy.id = 0;
+      remapPos(copy.location);
+      remapExtent(copy.extent);
+      for (auto& call : copy.calls) remapPos(call.position);
+      it->second = raw_.addRoutine(std::move(copy));
+    } else {
       dup_routines.emplace_back(it->second, &r);
-      continue;
     }
-    pdb::RoutineItem copy = r;
-    copy.id = 0;
-    remapPos(copy.location);
-    remapExtent(copy.extent);
-    for (auto& call : copy.calls) remapPos(call.position);
-    const std::uint32_t id = raw_.addRoutine(std::move(copy));
-    routine_map[r.id] = id;
-    new_routines.push_back(id);
-    my_routines.emplace(routineKey(theirs, r), id);
+    routine_map[r.id] = it->second;
   }
 
   // Namespaces. Duplicates union their member lists (members are
   // remapped and appended after the id maps are complete, below).
-  std::vector<std::pair<std::uint32_t, std::vector<pdb::ItemRef>>>
-      namespace_member_appends;
+  std::vector<std::pair<std::uint32_t, const pdb::NamespaceItem*>> reopened;
   for (const auto& n : theirs.namespaces()) {
-    if (const auto it = my_namespaces.find(namespaceKey(n));
-        it != my_namespaces.end()) {
-      namespace_map[n.id] = it->second;
-      namespace_member_appends.emplace_back(it->second, n.members);
-      continue;
+    const auto [it, fresh] = keys.namespaces.try_emplace(namespaceKey(n), 0);
+    if (fresh) {
+      pdb::NamespaceItem copy = n;
+      copy.id = 0;
+      remapPos(copy.location);
+      it->second = raw_.addNamespace(std::move(copy));
+    } else {
+      reopened.emplace_back(it->second, &n);
     }
-    pdb::NamespaceItem copy = n;
-    copy.id = 0;
-    remapPos(copy.location);
-    const std::uint32_t id = raw_.addNamespace(std::move(copy));
-    namespace_map[n.id] = id;
-    new_namespaces.push_back(id);
-    my_namespaces.emplace(namespaceKey(n), id);
+    namespace_map[n.id] = it->second;
   }
 
   // Macros: exact duplicates dropped.
   for (const auto& m : theirs.macros()) {
-    if (my_macros.contains(macroKey(m))) continue;
+    if (!keys.macros.insert(macroKey(m)).second) continue;
     pdb::MacroItem copy = m;
     copy.id = 0;
     remapPos(copy.location);
     raw_.addMacro(std::move(copy));
-    my_macros.insert(macroKey(m));
   }
 
   // Dynamic profiles: one per distinct TAU profile entry, keyed by display
   // name. Merging two measured databases sums their counts and times —
   // profiles of the same workload from different processes/runs aggregate
-  // instead of duplicating (mirrors tauprof's own cross-file merge).
-  {
-    std::unordered_map<std::string_view, std::size_t> my_dp_at;
-    my_dp_at.reserve(raw_.dynProfs().size());
-    for (std::size_t i = 0; i < raw_.dynProfs().size(); ++i)
-      my_dp_at.emplace(raw_.dynProfs()[i].name, i);
-    for (const auto& p : theirs.dynProfs()) {
-      const auto remapped_routine = [&] {
-        const auto it = routine_map.find(p.routine);
-        return it != routine_map.end() ? it->second : 0u;
-      };
-      if (const auto it = my_dp_at.find(p.name); it != my_dp_at.end()) {
-        auto& mine = raw_.dynProfs()[it->second];
-        mine.calls += p.calls;
-        mine.child_calls += p.child_calls;
-        mine.inclusive_ns += p.inclusive_ns;
-        mine.exclusive_ns += p.exclusive_ns;
-        mine.threads += p.threads;
-        mine.contexts += p.contexts;
-        if (mine.routine == 0 && p.routine != 0)
-          mine.routine = remapped_routine();
-        continue;
-      }
-      pdb::DynProfItem copy = p;
-      copy.id = 0;
-      if (copy.routine != 0) copy.routine = remapped_routine();
-      raw_.addDynProf(std::move(copy));
+  // instead of duplicating (mirrors tauprof's own cross-file merge). Rows
+  // appended by this merge join the index only after it, so same-named
+  // rows within `theirs` stay separate rows.
+  for (const auto& p : theirs.dynProfs()) {
+    const auto remapped_routine = [&] {
+      const auto it = routine_map.find(p.routine);
+      return it != routine_map.end() ? it->second : 0u;
+    };
+    if (const auto it = keys.dyn_profs.find(p.name);
+        it != keys.dyn_profs.end()) {
+      auto& mine = raw_.dynProfs()[it->second];
+      mine.calls += p.calls;
+      mine.child_calls += p.child_calls;
+      mine.inclusive_ns += p.inclusive_ns;
+      mine.exclusive_ns += p.exclusive_ns;
+      mine.threads += p.threads;
+      mine.contexts += p.contexts;
+      if (mine.routine == 0 && p.routine != 0)
+        mine.routine = remapped_routine();
+      continue;
     }
+    pdb::DynProfItem copy = p;
+    copy.id = 0;
+    if (copy.routine != 0) copy.routine = remapped_routine();
+    raw_.addDynProf(std::move(copy));
   }
+  for (std::size_t i = dyn_profs_from; i < raw_.dynProfs().size(); ++i)
+    keys.dyn_profs.emplace(raw_.dynProfs()[i].name, i);
 
   // Def-use streams: one per defined routine, keyed by the merged routine
   // id. When both sides carry a stream for the same routine (the routine
   // itself was a duplicate) the first one wins — mirroring the
   // declaration/definition rule above, where only the defining TU emits a
   // stream at all.
-  {
-    std::unordered_set<std::uint32_t> my_du_routines;
-    my_du_routines.reserve(raw_.defUses().size());
-    for (const auto& d : raw_.defUses()) my_du_routines.insert(d.routine);
-    for (const auto& d : theirs.defUses()) {
-      pdb::DefUseItem copy = d;
-      copy.id = 0;
-      if (const auto it = routine_map.find(copy.routine);
-          it != routine_map.end())
-        copy.routine = it->second;
-      if (!my_du_routines.insert(copy.routine).second) continue;
-      for (auto& e : copy.events) remapPos(e.pos);
-      raw_.addDefUse(std::move(copy));
-    }
+  for (const auto& d : theirs.defUses()) {
+    pdb::DefUseItem copy = d;
+    copy.id = 0;
+    if (const auto it = routine_map.find(copy.routine); it != routine_map.end())
+      copy.routine = it->second;
+    if (!keys.du_routines.insert(copy.routine).second) continue;
+    for (auto& e : copy.events) remapPos(e.pos);
+    raw_.addDefUse(std::move(copy));
   }
 
   // Reference fixups on newly appended items.
@@ -760,19 +765,13 @@ void PDB::merge(const PDB& other) {
     if (ref) remapRef(*ref);
   };
 
-  raw_.reindex();
-  std::unordered_set<std::uint32_t> new_type_set(new_types.begin(), new_types.end());
-  for (auto& t : raw_.types()) {
-    if (!new_type_set.contains(t.id)) continue;
+  for (auto& t : tail(raw_.types(), types_from)) {
     remapOptRef(t.ref);
     remapOptRef(t.return_type);
     for (auto& p : t.params) remapRef(p);
     for (auto& e : t.exception_specs) remapRef(e);
   }
-  std::unordered_set<std::uint32_t> new_class_set(new_classes.begin(),
-                                                  new_classes.end());
-  for (auto& c : raw_.classes()) {
-    if (!new_class_set.contains(c.id)) continue;
+  for (auto& c : tail(raw_.classes(), classes_from)) {
     remapOptRef(c.parent);
     if (c.template_id) {
       if (const auto it = template_map.find(*c.template_id);
@@ -794,10 +793,7 @@ void PDB::merge(const PDB& other) {
       remapPos(m.location);
     }
   }
-  std::unordered_set<std::uint32_t> new_routine_set(new_routines.begin(),
-                                                    new_routines.end());
-  for (auto& r : raw_.routines()) {
-    if (!new_routine_set.contains(r.id)) continue;
+  for (auto& r : tail(raw_.routines(), routines_from)) {
     remapOptRef(r.parent);
     if (const auto it = type_map.find(r.signature); it != type_map.end())
       r.signature = it->second;
@@ -811,58 +807,39 @@ void PDB::merge(const PDB& other) {
         call.routine = it->second;
     }
   }
-  std::unordered_set<std::uint32_t> new_template_set(new_templates.begin(),
-                                                     new_templates.end());
-  for (auto& t : raw_.templates()) {
-    if (!new_template_set.contains(t.id)) continue;
-    remapOptRef(t.parent);
-  }
-  std::unordered_set<std::uint32_t> new_namespace_set(new_namespaces.begin(),
-                                                      new_namespaces.end());
-  for (auto& n : raw_.namespaces()) {
-    if (!new_namespace_set.contains(n.id)) continue;
+  for (auto& t : tail(raw_.templates(), templates_from)) remapOptRef(t.parent);
+  for (auto& n : tail(raw_.namespaces(), namespaces_from))
     for (auto& m : n.members) remapRef(m);
-  }
+
   // Declaration + definition pairs: adopt the definition side.
-  if (!dup_routines.empty()) {
-    std::unordered_map<std::uint32_t, std::size_t> mine_routine_at;
-    mine_routine_at.reserve(raw_.routines().size());
-    for (std::size_t i = 0; i < raw_.routines().size(); ++i)
-      mine_routine_at.emplace(raw_.routines()[i].id, i);
-    for (const auto& [my_id, their_r] : dup_routines) {
-      auto& mine = raw_.routines()[mine_routine_at.at(my_id)];
-      if (mine.defined || !their_r->defined) continue;
-      mine.defined = true;
-      mine.location = their_r->location;
-      remapPos(mine.location);
-      mine.extent = their_r->extent;
-      remapExtent(mine.extent);
-      mine.calls = their_r->calls;
-      for (auto& call : mine.calls) {
-        if (const auto it = routine_map.find(call.routine);
-            it != routine_map.end())
-          call.routine = it->second;
-        remapPos(call.position);
-      }
+  for (const auto& [my_id, their_r] : dup_routines) {
+    auto& mine = *raw_.findRoutine(my_id);
+    if (mine.defined || !their_r->defined) continue;
+    mine.defined = true;
+    mine.location = their_r->location;
+    remapPos(mine.location);
+    mine.extent = their_r->extent;
+    remapExtent(mine.extent);
+    mine.calls = their_r->calls;
+    for (auto& call : mine.calls) {
+      if (const auto it = routine_map.find(call.routine); it != routine_map.end())
+        call.routine = it->second;
+      remapPos(call.position);
     }
   }
   // Union member lists of namespaces that merged with existing ones.
-  if (!namespace_member_appends.empty()) {
-    std::unordered_map<std::uint32_t, std::size_t> mine_ns_at;
-    mine_ns_at.reserve(raw_.namespaces().size());
-    for (std::size_t i = 0; i < raw_.namespaces().size(); ++i)
-      mine_ns_at.emplace(raw_.namespaces()[i].id, i);
-    for (auto& [ns_id, members] : namespace_member_appends) {
-      auto& n = raw_.namespaces()[mine_ns_at.at(ns_id)];
-      for (pdb::ItemRef m : members) {
-        remapRef(m);
-        if (std::find(n.members.begin(), n.members.end(), m) == n.members.end())
-          n.members.push_back(m);
-      }
+  for (const auto& [ns_id, their_n] : reopened) {
+    auto& n = *raw_.findNamespace(ns_id);
+    const auto [it, first_reopen] = keys.namespace_members.try_emplace(ns_id);
+    auto& members = it->second;
+    if (first_reopen)
+      for (const pdb::ItemRef& m : n.members) members.insert(memberKey(m));
+    for (pdb::ItemRef m : their_n->members) {
+      remapRef(m);
+      if (members.insert(memberKey(m)).second) n.members.push_back(m);
     }
   }
 
-  raw_.reindex();
   // Whatever `theirs` carried that did not grow the merged database was a
   // duplicate folded into an existing item.
   const std::size_t grew = raw_.itemCount() - items_before;

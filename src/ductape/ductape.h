@@ -450,8 +450,9 @@ class PDB {
   PDB(PDB&&) noexcept;
   PDB& operator=(PDB&&) noexcept;
 
-  /// Builds the object graph from an in-memory database.
-  static PDB fromPdbFile(const pdb::PdbFile& file);
+  /// Builds the object graph from an in-memory database (moved in when
+  /// the caller passes an rvalue, copied otherwise).
+  static PDB fromPdbFile(pdb::PdbFile file);
   /// Builds the object graph over an immutable snapshot. Flat copy: item
   /// records are copied, string backings are shared with the snapshot.
   static PDB fromSnapshot(const pdb::SnapshotPtr& snapshot);
@@ -472,12 +473,15 @@ class PDB {
   /// Merges `other` into this database, renumbering ids and eliminating
   /// duplicate template instantiations (paper Table 2, pdbmerge).
   ///
-  /// The object graph is rebuilt lazily: a chain of merges (cxxparse over
-  /// many TUs, pdbmerge's reduction tree) pays for one graph construction
-  /// at the first accessor call instead of one per merge. Pointers obtained
-  /// from the accessor vectors before a merge are invalidated by it, as
-  /// before. A PDB object is not internally synchronized — confine each
-  /// instance to one thread at a time (the parallel pipeline does).
+  /// A step costs time proportional to `other`, not to the database
+  /// merged so far: the identity keys of this database's items are built
+  /// at the first merge into it and then only extended with the items a
+  /// merge appends, and reference fixups touch only those appended items.
+  /// A fold over N inputs is therefore linear in their total size. The
+  /// object graph is rebuilt lazily, once, at the first accessor call
+  /// after a chain of merges. Pointers obtained from the accessor vectors
+  /// before a merge are invalidated by it. A PDB object is not internally
+  /// synchronized — confine each instance to one thread at a time.
   void merge(const PDB& other);
 
   [[nodiscard]] bool valid() const { return error_.empty(); }
@@ -510,6 +514,11 @@ class PDB {
   pdb::PdbFile raw_;
   std::string error_;
   mutable bool graph_dirty_ = false;
+
+  /// Identity keys of raw_'s items; built at the first merge into this
+  /// database, extended by every later one (see merge()).
+  struct MergeKeys;
+  std::unique_ptr<MergeKeys> keys_;
 
   std::vector<std::unique_ptr<pdbFile>> file_storage_;
   std::vector<std::unique_ptr<pdbRoutine>> routine_storage_;

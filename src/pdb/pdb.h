@@ -402,6 +402,16 @@ class PdbFile {
   [[nodiscard]] const MacroItem* findMacro(std::uint32_t id) const;
   [[nodiscard]] const DefUseItem* findDefUse(std::uint32_t id) const;
   [[nodiscard]] const DynProfItem* findDynProf(std::uint32_t id) const;
+  // Mutable lookups for merge, which updates items already in place.
+  [[nodiscard]] SourceFileItem* findSourceFile(std::uint32_t id) {
+    return const_cast<SourceFileItem*>(std::as_const(*this).findSourceFile(id));
+  }
+  [[nodiscard]] RoutineItem* findRoutine(std::uint32_t id) {
+    return const_cast<RoutineItem*>(std::as_const(*this).findRoutine(id));
+  }
+  [[nodiscard]] NamespaceItem* findNamespace(std::uint32_t id) {
+    return const_cast<NamespaceItem*>(std::as_const(*this).findNamespace(id));
+  }
 
   [[nodiscard]] std::size_t itemCount() const;
 

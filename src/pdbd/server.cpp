@@ -7,7 +7,9 @@
 
 #include <cerrno>
 #include <cstring>
+#include <mutex>
 #include <ostream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -98,6 +100,14 @@ int runServer(Service& service, const std::string& socket_path,
   }
   log << "pdbd: listening on '" << socket_path << "'\n";
 
+  // Open client sockets. A client that stays connected without sending
+  // would keep its thread in recv() forever; on shutdown every open
+  // socket's read side is shut down instead, which ends that recv() with
+  // EOF while replies to requests already read still go out. The set is
+  // guarded so a socket is never shut down after its thread closed it.
+  std::mutex open_mutex;
+  std::set<int> open_fds;
+
   std::vector<std::thread> clients;
   while (!service.shutdownRequested()) {
     // Poll with a timeout so the shutdown flag (set inside a client
@@ -108,13 +118,23 @@ int runServer(Service& service, const std::string& socket_path,
     if (ready <= 0 || (pfd.revents & POLLIN) == 0) continue;
     const int client = ::accept(listener, nullptr, nullptr);
     if (client < 0) continue;
-    clients.emplace_back([client, &service] {
+    {
+      const std::lock_guard lock(open_mutex);
+      open_fds.insert(client);
+    }
+    clients.emplace_back([client, &service, &open_mutex, &open_fds] {
       serveConnection(client, service);
+      const std::lock_guard lock(open_mutex);
+      open_fds.erase(client);
       ::close(client);
     });
   }
 
   // Drain: every accepted client gets its responses before we exit.
+  {
+    const std::lock_guard lock(open_mutex);
+    for (const int fd : open_fds) ::shutdown(fd, SHUT_RD);
+  }
   for (std::thread& t : clients) t.join();
   ::close(listener);
   ::unlink(socket_path.c_str());

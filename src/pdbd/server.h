@@ -5,8 +5,10 @@
 // descriptor, so tests drive it over a socketpair without a listener.
 // runServer() owns the listening socket: it accepts until the service's
 // shutdown flag is raised, hands each client to its own thread, and
-// joins them all before returning (drain semantics — every accepted
-// request gets its response before the process exits).
+// joins them all before returning (drain semantics — every request a
+// client thread has read gets its response before the process exits; the
+// read side of every still-open connection is shut down, so an idle
+// client sees EOF instead of holding the daemon open).
 #pragma once
 
 #include <cstddef>

@@ -36,7 +36,6 @@ constexpr std::array<std::string_view, kNumCounters> kCounterNames = {
     "pdb.mmap.bytes_mapped",
     "merge.merges",
     "merge.duplicates_elided",
-    "merge.shards",
     "merge.spills",
     "driver.tus",
     "diag.errors",

@@ -63,9 +63,13 @@ std::optional<ThreadProfile> fail(std::string* error, const std::string& path,
 
 /// The routine-name key used to match a TAU display name against PDB ro
 /// items: text before the parameter list, last whitespace-separated token
-/// (the instrumentor may splice a full signature, "void push(T)").
+/// (the instrumentor may splice a full signature, "void push(T)"). The
+/// parentheses of "operator()" belong to the name, not the parameter list.
 std::string routineKey(const std::string& name) {
-  std::string base = name.substr(0, name.find('('));
+  const std::size_t call_op = name.find("operator()");
+  const std::size_t params =
+      name.find('(', call_op == std::string::npos ? 0 : call_op + 10);
+  std::string base = name.substr(0, params);
   while (!base.empty() && base.back() == ' ') base.pop_back();
   const auto space = base.rfind(' ');
   if (space != std::string::npos) base.erase(0, space + 1);
@@ -253,11 +257,20 @@ void renderMergedCsv(const MergedProfile& merged, std::ostream& os) {
 std::size_t attachDynProfSection(const MergedProfile& merged,
                                  pdb::PdbFile& pdb) {
   // Routine name -> lowest ro id, so name collisions resolve the same way
-  // on every run.
+  // on every run. Members are also keyed "Class::name": a row whose type
+  // names the class links to that class's member first.
   std::unordered_map<std::string_view, std::uint32_t> by_name;
+  std::unordered_map<std::string, std::uint32_t> by_member;
+  const auto keepLowest = [](auto& map, auto key, std::uint32_t id) {
+    const auto [it, inserted] = map.emplace(std::move(key), id);
+    if (!inserted && id < it->second) it->second = id;
+  };
   for (const pdb::RoutineItem& r : pdb.routines()) {
-    const auto [it, inserted] = by_name.emplace(r.name, r.id);
-    if (!inserted && r.id < it->second) it->second = r.id;
+    keepLowest(by_name, r.name, r.id);
+    if (!r.parent || r.parent->kind != pdb::ItemKind::Class) continue;
+    if (const auto* cls = pdb.findClass(r.parent->id))
+      keepLowest(by_member, std::string(cls->name) + "::" + std::string(r.name),
+                 r.id);
   }
 
   std::size_t linked = 0;
@@ -271,17 +284,20 @@ std::size_t attachDynProfSection(const MergedProfile& merged,
     item.threads = e.threads;
     item.contexts = e.contexts;
     const std::string key = routineKey(e.name);
-    auto it = by_name.find(std::string_view(key));
-    if (it == by_name.end()) {
-      // Qualified entry ("Stack::push") against an unqualified ro name.
-      const auto sep = key.rfind("::");
-      if (sep != std::string::npos)
-        it = by_name.find(std::string_view(key).substr(sep + 2));
+    // Qualified entry ("Stack::push") against an unqualified ro name.
+    const std::size_t sep = key.rfind("::");
+    const std::string bare = sep == std::string::npos ? key : key.substr(sep + 2);
+    if (!e.type.empty()) {
+      if (const auto it = by_member.find(e.type + "::" + bare);
+          it != by_member.end())
+        item.routine = it->second;
     }
-    if (it != by_name.end()) {
-      item.routine = it->second;
-      ++linked;
+    if (item.routine == 0) {
+      auto it = by_name.find(std::string_view(key));
+      if (it == by_name.end()) it = by_name.find(std::string_view(bare));
+      if (it != by_name.end()) item.routine = it->second;
     }
+    if (item.routine != 0) ++linked;
     pdb.addDynProf(std::move(item));
   }
   return linked;

@@ -38,9 +38,10 @@
 
 namespace pdt::tools {
 
-/// Bumped whenever the PDB serialization or the key derivation changes;
-/// entries written by other versions simply never match.
-inline constexpr std::string_view kCacheFormatVersion = "pdt-cache-5";
+/// Bumped whenever the PDB serialization, the counter set of the stats
+/// sidecar, or the key derivation changes; entries written by other
+/// versions simply never match.
+inline constexpr std::string_view kCacheFormatVersion = "pdt-cache-6";
 
 struct CacheOptions {
   std::string dir;            // empty = caching disabled

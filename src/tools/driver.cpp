@@ -89,44 +89,39 @@ UnitResult compileUnit(const std::string& input, const DriverOptions& options,
 DriverResult compileAndMerge(const std::vector<std::string>& inputs,
                              const DriverOptions& options) {
   DriverResult out;
-  std::vector<UnitResult> units(inputs.size());
   const BuildCache cache(options.cache);
   const BuildCache* cache_ptr = cache.enabled() ? &cache : nullptr;
 
-  if (options.jobs <= 1 || inputs.size() <= 1) {
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      units[i] = compileUnit(inputs[i], options, cache_ptr);
-      if (!units[i].success) {
-        // Serial behaviour: stop at the first failing TU.
-        units.resize(i + 1);
-        break;
-      }
-    }
-  } else {
-    ThreadPool pool(options.jobs);
-    std::vector<std::future<UnitResult>> futures;
+  std::optional<ThreadPool> pool;
+  std::vector<std::future<UnitResult>> futures;
+  if (options.jobs > 1 && inputs.size() > 1) {
+    pool.emplace(options.jobs);
     futures.reserve(inputs.size());
     for (const std::string& input : inputs) {
-      futures.push_back(pool.submit([&input, &options, cache_ptr] {
+      futures.push_back(pool->submit([&input, &options, cache_ptr] {
         return compileUnit(input, options, cache_ptr);
       }));
     }
-    // Collect in input order regardless of completion order.
-    for (std::size_t i = 0; i < futures.size(); ++i) units[i] = futures[i].get();
   }
 
-  // Emit diagnostics and merge in input order; both match the serial run
-  // byte for byte (the merge is order-dependent, the compiles are not).
+  // Emit diagnostics and fold the units in input order, each as soon as
+  // it is ready; both match the serial run byte for byte (the merge is
+  // order-dependent, the compiles are not). The first unit becomes the
+  // merged database, later ones are moved into PDB::merge.
   std::optional<ductape::PDB> merged;
-  for (const UnitResult& unit : units) {
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    UnitResult unit =
+        pool ? futures[i].get() : compileUnit(inputs[i], options, cache_ptr);
     out.diagnostics += unit.diagnostics;
     out.cache_stats += unit.cache_stats;
     out.counters += unit.counters;
+    // Stop at the first failing TU (the pool finishes the rest unseen).
     if (!unit.success) return out;
+    ductape::PDB db = ductape::PDB::fromPdbFile(std::move(unit.pdb));
     if (!merged) {
-      merged = ductape::PDB::fromPdbFile(unit.pdb);
+      merged = std::move(db);
     } else {
-      merged->merge(ductape::PDB::fromPdbFile(unit.pdb));
+      merged->merge(db);
     }
   }
   out.pdb = std::move(merged);

@@ -14,9 +14,8 @@
 
 #include "analysis/checker.h"
 #include "analysis/rules.h"
-#include "pdb/validate.h"
 #include "support/trace.h"
-#include "tools/tools.h"
+#include "tools/shard_merge.h"
 
 namespace {
 
@@ -25,8 +24,8 @@ constexpr const char* kUsage =
     "  --checks=LIST    comma-separated rule selection: names, 'all', and\n"
     "                   '-name' exclusions (default: all)\n"
     "  --format=FMT     text | json (SARIF-shaped; see docs/PDBCHECK.md)\n"
-    "  -j N, --jobs N   run independent rules on N worker threads; output\n"
-    "                   is byte-identical to -j 1\n"
+    "  -j N, --jobs N   read inputs and run independent rules on N worker\n"
+    "                   threads; output is byte-identical to -j 1\n"
     "  --list-checks    print the rule catalog and exit\n"
     "  --list-rules     print each rule's name, default severity, and the\n"
     "                   PDB sections it reads, then exit\n"
@@ -142,28 +141,16 @@ int main(int argc, char** argv) {
       select_error.empty() ? pdt::analysis::requiredSections(selected)
                            : pdt::pdb::Sections::All;
 
-  std::vector<pdt::ductape::PDB> inputs;
-  inputs.reserve(paths.size());
-  for (const std::string& path : paths) {
-    pdt::ductape::PDB pdb = pdt::ductape::PDB::read(path, sections);
-    if (!pdb.valid()) {
-      std::cerr << "pdbcheck: " << pdb.errorMessage() << '\n';
-      return 3;
-    }
-    const std::vector<std::string> errors =
-        pdt::pdb::validate(pdb.raw(), sections);
-    if (!errors.empty()) {
-      for (const std::string& e : errors)
-        std::cerr << "pdbcheck: " << path << ": " << e << '\n';
-      std::cerr << "pdbcheck: '" << path
-                << "' references undefined items; refusing to analyze\n";
-      return 3;
-    }
-    inputs.push_back(std::move(pdb));
+  pdt::tools::MergeOptions mopts;
+  mopts.jobs = options.jobs;
+  mopts.sections = sections;
+  const pdt::tools::MergeResult loaded = pdt::tools::mergeFiles(paths, mopts);
+  if (!loaded.ok()) {
+    pdt::tools::printMergeErrors(loaded.errors, "pdbcheck", "analyze",
+                                 std::cerr);
+    return 3;
   }
-
-  const pdt::ductape::PDB merged =
-      pdt::tools::pdbmerge(std::move(inputs), options.jobs);
+  const pdt::ductape::PDB& merged = *loaded.merged;
   const pdt::analysis::CheckResult result =
       pdt::analysis::runChecks(merged, options);
   if (!result.ok()) {

@@ -9,7 +9,8 @@
 // du streams, so inputs are read with a lazy section mask that leaves
 // types, templates, and macros on disk (visible as pdb.sections_skipped
 // in --stats); the storage format (ASCII or binary v2) is auto-detected
-// per input.
+// per input, and each input is validated against that mask before it is
+// merged: a database with dangling references is refused with exit 3.
 #include <charconv>
 #include <iostream>
 #include <string>
@@ -18,7 +19,7 @@
 #include "pdb/pdb.h"
 #include "query/render.h"
 #include "support/trace.h"
-#include "tools/tools.h"
+#include "tools/shard_merge.h"
 
 namespace {
 
@@ -40,7 +41,8 @@ constexpr const char* kUsage =
     "  --stats-out FILE  write the stats report to FILE\n"
     "  --trace-out FILE  write a Chrome trace_event JSON timeline to FILE\n"
     "  --mmap=MODE       input mapping: auto (default), on, off\n"
-    "exit codes: 0 ok, 2 usage error, 3 invalid input\n";
+    "exit codes: 0 ok, 2 usage error, 3 invalid input (unreadable file or\n"
+    "dangling item references)\n";
 
 bool parseAt(const std::string& value, DefUseQuery& query) {
   const std::size_t colon = value.find(':');
@@ -124,17 +126,15 @@ int main(int argc, char** argv) {
       pdt::pdb::Sections::Classes | pdt::pdb::Sections::Namespaces |
       pdt::pdb::Sections::DefUses;
 
-  std::vector<pdt::ductape::PDB> inputs;
-  inputs.reserve(paths.size());
-  for (const std::string& path : paths) {
-    pdt::ductape::PDB pdb = pdt::ductape::PDB::read(path, kMask);
-    if (!pdb.valid()) {
-      std::cerr << "pdbduct: " << pdb.errorMessage() << '\n';
-      return 3;
-    }
-    inputs.push_back(std::move(pdb));
+  pdt::tools::MergeOptions mopts;
+  mopts.sections = kMask;
+  const pdt::tools::MergeResult loaded = pdt::tools::mergeFiles(paths, mopts);
+  if (!loaded.ok()) {
+    pdt::tools::printMergeErrors(loaded.errors, "pdbduct", "query",
+                                 std::cerr);
+    return 3;
   }
-  const pdt::ductape::PDB merged = pdt::tools::pdbmerge(std::move(inputs), 1);
+  const pdt::ductape::PDB& merged = *loaded.merged;
 
   const pdt::query::Index index(merged);
   pdt::query::renderDefUse(index, query, std::cout);

@@ -1,10 +1,10 @@
 #include "tools/shard_merge.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstddef>
+#include <deque>
 #include <filesystem>
 #include <future>
+#include <ostream>
 #include <system_error>
 #include <utility>
 
@@ -18,18 +18,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// One partial merge: either resident (pdb engaged) or spilled to disk.
-/// `estimate` is the sum of the constituent inputs' on-disk bytes — with
-/// the zero-copy reader a resident partial pins the read buffers of every
-/// input folded into it, so on-disk bytes are an honest footprint proxy.
-struct Partial {
-  std::optional<ductape::PDB> pdb;
-  std::string spill_path;
-  std::uint64_t estimate = 0;
-};
-
-/// Run-scoped spill directory, recursively removed on destruction — a
-/// failed or interrupted merge cleans up exactly like a successful one.
+/// Run-scoped spill directory, created at the first spill and recursively
+/// removed on destruction — a failed or interrupted merge cleans up
+/// exactly like a successful one.
 class TempDir {
  public:
   explicit TempDir(std::string path) : path_(std::move(path)) {}
@@ -42,6 +33,7 @@ class TempDir {
   TempDir& operator=(const TempDir&) = delete;
 
   [[nodiscard]] bool create() {
+    if (created_) return true;
     std::error_code ec;
     fs::create_directories(path_, ec);
     created_ = !ec;
@@ -60,253 +52,126 @@ std::uint64_t fileSize(const std::string& path) {
   return ec ? 0 : static_cast<std::uint64_t>(size);
 }
 
-/// Mirrors pdbmerge's input checks: readable, and no dangling item
-/// references (merging those would silently corrupt the combined
-/// database). Failure messages append to `lines`.
-bool checkInput(const ductape::PDB& pdb, const std::string& path,
-                std::vector<std::string>& lines) {
-  if (!pdb.valid()) {
-    lines.push_back(pdb.errorMessage());
-    return false;
+/// One input, read and checked: readable, and no dangling item references
+/// (merging those would silently corrupt the combined database).
+struct Loaded {
+  ductape::PDB pdb;
+  std::optional<MergeError> error;
+};
+
+Loaded load(const std::string& path, pdb::Sections sections) {
+  Loaded in{ductape::PDB::read(path, sections), std::nullopt};
+  if (!in.pdb.valid()) {
+    in.error = MergeError{path, in.pdb.errorMessage(), {}};
+  } else if (auto dangling = pdb::validate(in.pdb.raw(), sections);
+             !dangling.empty()) {
+    in.error = MergeError{path, {}, std::move(dangling)};
   }
-  const std::vector<std::string> errors = pdb::validate(pdb.raw());
-  if (!errors.empty()) {
-    for (const std::string& e : errors) lines.push_back(path + ": " + e);
-    lines.push_back("'" + path +
-                    "' references undefined items; refusing to merge");
-    return false;
-  }
-  return true;
+  return in;
 }
 
-/// Shared spill machinery for the fold and reduce phases.
-struct SpillSink {
-  TempDir& dir;
-  std::atomic<std::uint64_t> seq{0};
-  std::atomic<std::uint64_t> spills{0};
-
-  explicit SpillSink(TempDir& d) : dir(d) {}
-
-  /// Writes `pdb` to a fresh spill file; empty string on write failure.
-  /// Spill I/O is bookkeeping: counted via merge.spills, not pdb.files_*.
-  std::string spill(const ductape::PDB& pdb) {
-    const std::string path =
-        dir.path() + "/part_" + std::to_string(seq.fetch_add(1)) + ".pdb";
-    PDT_TRACE_SCOPE("merge.spill", path);
+/// Writes `acc` to a fresh spill file and reopens it, so the accumulator
+/// pins the spill file's bytes instead of every input folded into it.
+/// Spill I/O is bookkeeping: counted via merge.spills, not pdb.files_*.
+std::optional<MergeError> spill(ductape::PDB& acc, TempDir& dir,
+                                std::uint64_t seq) {
+  if (!dir.create())
+    return MergeError{{}, "cannot create spill directory '" + dir.path() + "'", {}};
+  const std::string path = dir.path() + "/part_" + std::to_string(seq) + ".pdb";
+  PDT_TRACE_SCOPE("merge.spill", path);
+  {
     const trace::CounterScope mute(nullptr);
-    if (!pdb.write(path, pdb::Format::Binary)) return {};
-    return path;
+    if (!acc.write(path, pdb::Format::Binary))
+      return MergeError{{}, "cannot write spill file in '" + dir.path() + "'", {}};
+    ductape::PDB reopened = ductape::PDB::read(path);
+    if (!reopened.valid())
+      return MergeError{{}, "cannot reload spill file '" + path +
+                                "': " + reopened.errorMessage(), {}};
+    acc = std::move(reopened);
   }
-
-  void countSpill() {
-    spills.fetch_add(1);
-    trace::count(trace::Counter::MergeSpills);
-  }
-};
-
-/// Materializes a partial; reloads spilled ones (reload is bookkeeping
-/// I/O, suppressed from the deterministic counters like the build cache's
-/// fetches). Sets `error` and returns an empty PDB on reload failure.
-ductape::PDB loadPartial(Partial&& p, std::string& error) {
-  if (p.pdb) return std::move(*p.pdb);
-  const trace::CounterScope mute(nullptr);
-  ductape::PDB pdb = ductape::PDB::read(p.spill_path);
-  if (!pdb.valid())
-    error = "cannot reload spill file '" + p.spill_path +
-            "': " + pdb.errorMessage();
-  return pdb;
-}
-
-struct ShardOutput {
-  std::vector<Partial> partials;                 // in fold order
-  // (input index, messages) — index restores global input order later.
-  std::vector<std::pair<std::size_t, std::vector<std::string>>> errors;
-};
-
-/// Folds inputs [begin, end) left to right, reading one input at a time
-/// and spilling the accumulator whenever its estimate exceeds
-/// `threshold` (0 = never). The ordered fold keeps the shard's combined
-/// result identical to the serial merge of the same slice.
-ShardOutput mergeShard(const std::vector<std::string>& inputs,
-                       std::size_t begin, std::size_t end,
-                       std::uint64_t threshold, SpillSink& sink) {
-  PDT_TRACE_SCOPE("merge.shard", inputs[begin]);
-  ShardOutput out;
-  std::optional<ductape::PDB> acc;
-  std::uint64_t acc_estimate = 0;
-  std::size_t acc_inputs = 0;
-
-  for (std::size_t i = begin; i < end; ++i) {
-    ductape::PDB input = ductape::PDB::read(inputs[i]);
-    std::vector<std::string> lines;
-    if (!checkInput(input, inputs[i], lines)) {
-      // Keep scanning so the caller can report every bad input at once.
-      out.errors.emplace_back(i, std::move(lines));
-      continue;
-    }
-    if (!acc) {
-      acc = std::move(input);
-    } else {
-      acc->merge(input);
-    }
-    acc_estimate += fileSize(inputs[i]);
-    ++acc_inputs;
-    // Spill only after at least two inputs: re-serializing a single input
-    // would be a pure round-trip, and forward progress stays guaranteed
-    // under arbitrarily small budgets.
-    if (threshold != 0 && acc_estimate > threshold && acc_inputs >= 2 &&
-        i + 1 < end) {
-      std::string path = sink.spill(*acc);
-      if (path.empty()) {
-        out.errors.emplace_back(
-            i, std::vector<std::string>{"cannot write spill file in '" +
-                                        sink.dir.path() + "'"});
-        return out;
-      }
-      sink.countSpill();
-      out.partials.push_back({std::nullopt, std::move(path), acc_estimate});
-      acc.reset();
-      acc_estimate = 0;
-      acc_inputs = 0;
-    }
-  }
-  if (acc) out.partials.push_back({std::move(acc), {}, acc_estimate});
-  return out;
-}
-
-/// Merges two adjacent partials (left absorbs right). When more
-/// reduction rounds remain and the result exceeds the budget slice, it
-/// is spilled again so the resident set stays bounded by the pairs in
-/// flight, not by the whole tree.
-Partial reducePair(Partial&& a, Partial&& b, std::uint64_t threshold,
-                   bool final_round, SpillSink& sink, std::string& error) {
-  PDT_TRACE_SCOPE("merge.reduce");
-  const std::uint64_t estimate = a.estimate + b.estimate;
-  ductape::PDB left = loadPartial(std::move(a), error);
-  if (!error.empty()) return {};
-  const ductape::PDB right = loadPartial(std::move(b), error);
-  if (!error.empty()) return {};
-  left.merge(right);
-  if (threshold != 0 && estimate > threshold && !final_round) {
-    std::string path = sink.spill(left);
-    if (path.empty()) {
-      error = "cannot write spill file in '" + sink.dir.path() + "'";
-      return {};
-    }
-    sink.countSpill();
-    return {std::nullopt, std::move(path), estimate};
-  }
-  return {std::move(left), {}, estimate};
+  // The reopened database keeps its bytes alive (POSIX keeps an unlinked
+  // mapping readable), so at most one spill file is on disk at a time.
+  std::error_code ec;
+  fs::remove(path, ec);
+  trace::count(trace::Counter::MergeSpills);
+  return std::nullopt;
 }
 
 }  // namespace
 
-ShardedMergeResult shardedMergeFiles(const std::vector<std::string>& inputs,
-                                     const ShardedMergeOptions& opts) {
-  ShardedMergeResult result;
-  if (inputs.empty()) {
-    result.errors.emplace_back("no input files");
-    return result;
-  }
-  const std::size_t jobs = std::max<std::size_t>(opts.jobs, 1);
-  // Each worker folds within its slice of the budget; 0 = unlimited.
-  const std::uint64_t threshold =
-      opts.mem_budget_bytes == 0
-          ? 0
-          : std::max<std::uint64_t>(opts.mem_budget_bytes / jobs, 1);
-
+MergeResult mergeFiles(const std::vector<std::string>& paths,
+                       const MergeOptions& opts) {
+  MergeResult result;
   TempDir spill_dir(opts.temp_dir);
-  if (threshold != 0 && !spill_dir.create()) {
-    result.errors.emplace_back("cannot create spill directory '" +
-                               opts.temp_dir + "'");
-    return result;
-  }
-  SpillSink sink(spill_dir);
 
-  // Phase 1: contiguous shards, folded concurrently. Contiguity +
-  // in-order folds mean concatenating the shard outputs in shard order
-  // reproduces the input order of the serial merge.
-  const std::size_t shard_count = std::min(inputs.size(), jobs);
-  trace::count(trace::Counter::MergeShards, shard_count);
-  result.stats.shards = shard_count;
+  // Reads run ahead of the fold on the pool, at most `window` in flight
+  // so the resident inputs stay bounded; the fold takes them in order.
+  const std::size_t jobs = std::max<std::size_t>(opts.jobs, 1);
+  const std::size_t window = 2 * jobs;
+  std::optional<ThreadPool> pool;
+  if (jobs > 1 && paths.size() > 1) pool.emplace(jobs);
+  std::deque<std::future<Loaded>> ahead;
+  std::size_t next_read = 0;
 
-  ThreadPool pool(jobs);
-  std::vector<std::future<ShardOutput>> shard_futures;
-  shard_futures.reserve(shard_count);
-  const std::size_t base = inputs.size() / shard_count;
-  const std::size_t extra = inputs.size() % shard_count;
-  std::size_t next = 0;
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    const std::size_t begin = next;
-    const std::size_t end = begin + base + (s < extra ? 1 : 0);
-    next = end;
-    shard_futures.push_back(pool.submit([&inputs, begin, end, threshold,
-                                         &sink] {
-      return mergeShard(inputs, begin, end, threshold, sink);
-    }));
-  }
-
-  std::vector<Partial> partials;
-  std::vector<std::pair<std::size_t, std::vector<std::string>>> input_errors;
-  for (auto& f : shard_futures) {
-    ShardOutput out = f.get();
-    for (Partial& p : out.partials) partials.push_back(std::move(p));
-    for (auto& e : out.errors) input_errors.push_back(std::move(e));
-  }
-  if (!input_errors.empty()) {
-    std::sort(input_errors.begin(), input_errors.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& [index, lines] : input_errors)
-      for (std::string& line : lines) result.errors.push_back(std::move(line));
-    result.stats.spills = sink.spills.load();
-    return result;  // spill_dir cleans up on this path too
-  }
-
-  // Phase 2: pairwise adjacent reduction of the ordered partials — the
-  // same reduction shape as tools::pdbmerge, so the bracketing change
-  // does not change the bytes.
-  while (partials.size() > 1) {
-    const bool final_round = partials.size() == 2;
-    std::vector<std::future<Partial>> round;
-    std::vector<std::string> errors(partials.size() / 2);
-    round.reserve(partials.size() / 2);
-    for (std::size_t i = 0; i + 1 < partials.size(); i += 2) {
-      Partial a = std::move(partials[i]);
-      Partial b = std::move(partials[i + 1]);
-      std::string* error = &errors[i / 2];
-      round.push_back(pool.submit(
-          [a = std::move(a), b = std::move(b), threshold, final_round, &sink,
-           error]() mutable {
-            return reducePair(std::move(a), std::move(b), threshold,
-                              final_round, sink, *error);
-          }));
+  std::optional<ductape::PDB> acc;
+  std::size_t folded = 0;
+  std::uint64_t pinned = 0;  // input bytes absorbed since the last spill
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    Loaded in;
+    if (pool) {
+      for (; next_read < paths.size() && next_read < i + window; ++next_read) {
+        ahead.push_back(pool->submit([&paths, &opts, next_read] {
+          return load(paths[next_read], opts.sections);
+        }));
+      }
+      in = ahead.front().get();
+      ahead.pop_front();
+    } else {
+      in = load(paths[i], opts.sections);
     }
-    std::vector<Partial> reduced;
-    reduced.reserve(round.size() + 1);
-    for (auto& f : round) reduced.push_back(f.get());
-    for (const std::string& e : errors)
-      if (!e.empty()) result.errors.push_back(e);
-    if (!result.errors.empty()) {
-      result.stats.spills = sink.spills.load();
-      return result;
+    if (in.error) {
+      // Keep reading so every bad input is reported at once.
+      result.errors.push_back(std::move(*in.error));
+      acc.reset();
     }
-    if (partials.size() % 2 != 0)
-      reduced.push_back(std::move(partials.back()));
-    partials = std::move(reduced);
-  }
+    if (!result.errors.empty()) continue;
 
-  std::string error;
-  ductape::PDB merged = loadPartial(std::move(partials.front()), error);
-  result.stats.spills = sink.spills.load();
-  if (!error.empty()) {
-    result.errors.push_back(std::move(error));
-    return result;
+    if (!acc) {
+      acc = std::move(in.pdb);
+    } else {
+      acc->merge(in.pdb);
+    }
+    ++folded;
+    pinned += fileSize(paths[i]);
+    // Spill only once two inputs are folded (re-serializing one input is
+    // a pure round trip) and never after the last one.
+    if (opts.mem_budget_bytes != 0 && pinned > opts.mem_budget_bytes &&
+        folded >= 2 && i + 1 < paths.size()) {
+      if (auto error = spill(*acc, spill_dir, result.stats.spills)) {
+        result.errors.push_back(std::move(*error));
+        return result;  // ~ThreadPool drains the reads still in flight
+      }
+      ++result.stats.spills;
+      pinned = 0;
+    }
   }
-  result.merged.emplace(std::move(merged));
+  // An empty fold is the empty database.
+  if (result.errors.empty())
+    result.merged.emplace(acc ? std::move(*acc) : ductape::PDB{});
   return result;
-  // ~TempDir removes the spill files; the merged database stays valid
-  // because spilled buffers it still references are held alive by the
-  // adopted mmap/heap backings (POSIX keeps unlinked mappings readable).
+}
+
+void printMergeErrors(const std::vector<MergeError>& errors,
+                      std::string_view tool, std::string_view action,
+                      std::ostream& os) {
+  for (const MergeError& e : errors) {
+    if (!e.message.empty()) os << tool << ": " << e.message << '\n';
+    for (const std::string& d : e.dangling)
+      os << tool << ": " << e.path << ": " << d << '\n';
+    if (!e.dangling.empty())
+      os << tool << ": '" << e.path
+         << "' references undefined items; refusing to " << action << '\n';
+  }
 }
 
 }  // namespace pdt::tools

@@ -2,6 +2,8 @@
 //   pdbconv  — converts the compact PDB format into a readable format
 //   pdbhtml  — web-based documentation with HTML navigation links
 //   pdbmerge — merges PDBs, eliminating duplicate template instantiations
+//              (ductape::PDB::merge, folded over files by mergeFiles in
+//              shard_merge.h)
 //   pdbtree  — file inclusion, class hierarchy, and call graph trees
 //
 // Each utility is a library function (testable) plus a thin main()
@@ -24,14 +26,6 @@ void pdbconv(const ductape::PDB& pdb, std::ostream& os);
 /// and hyperlinks for every cross-reference.
 void pdbhtml(const ductape::PDB& pdb, std::ostream& os,
              const std::string& title = "Program Database");
-
-/// pdbmerge: merges `inputs[1..]` into `inputs[0]` and returns the result.
-/// With jobs > 1, adjacent pairs are merged concurrently on a thread pool
-/// in a log-depth tree reduction instead of the linear left fold; the
-/// reduction preserves input order, so the result is byte-identical to the
-/// serial merge (verified by the determinism tests).
-[[nodiscard]] ductape::PDB pdbmerge(std::vector<ductape::PDB> inputs,
-                                    std::size_t jobs = 1);
 
 /// pdbtree: which tree to display. Profile joins the database's dp
 /// section (merged dynamic profile attached by tauprof) with its static

@@ -8,6 +8,7 @@
 #include "ductape/ductape.h"
 #include "frontend/frontend.h"
 #include "ilanalyzer/analyzer.h"
+#include "pdb/format.h"
 #include "pdb/writer.h"
 
 namespace pdt::ductape {
@@ -451,6 +452,139 @@ TEST(Ductape, MergeUnionsNamespaceMembers) {
   EXPECT_EQ(members, 2u);
   EXPECT_TRUE(has_a);
   EXPECT_TRUE(has_b);
+}
+
+// ---- Folds of several units: the merge state (keys, namespace member
+// sets, dp index, du routines) carries from one step to the next.
+
+/// Unit `index` of a fold over box.h: each reopens namespace util, uses
+/// Box<int>, and carries one dp row "put() <Box<int>>" with `index`
+/// calls. shared() is declared in unit 1 and defined in unit 3.
+pdb::PdbFile foldUnit(int index) {
+  const std::string n = std::to_string(index);
+  std::string source = "#include \"box.h\"\nvoid shared();\nvoid helper" + n +
+                       "() {}\nnamespace util { void from" + n +
+                       "() {} }\nvoid use" + n +
+                       "() { Box<int> b; b.put(" + n + "); }\n";
+  if (index == 1) source += "void caller() { shared(); }\n";
+  if (index == 3) source += "void shared() { int k = 3; helper3(); k = k + 1; }\n";
+  SourceManager sm;
+  DiagnosticEngine diags;
+  sm.addVirtualFile("box.h", kLibHeader);
+  frontend::Frontend fe(sm, diags);
+  auto result = fe.compileSource("tu" + n + ".cpp", source);
+  EXPECT_TRUE(result.success);
+  pdb::PdbFile raw = ilanalyzer::analyze(result, sm);
+  pdb::DynProfItem dp;
+  dp.name = "put() <Box<int>>";
+  dp.calls = static_cast<std::uint64_t>(index);
+  for (const auto& r : raw.routines())
+    if (r.name == "put") dp.routine = r.id;
+  raw.addDynProf(std::move(dp));
+  return raw;
+}
+
+const pdbRoutine* routineNamed(const PDB& pdb, std::string_view name) {
+  for (const pdbRoutine* r : pdb.getRoutineVec())
+    if (r->name() == name) return r;
+  return nullptr;
+}
+
+TEST(Ductape, FoldCarriesMergeStateAcrossSteps) {
+  std::vector<pdb::PdbFile> units;
+  for (int i = 1; i <= 4; ++i) units.push_back(foldUnit(i));
+  // Make the later units' put() streams distinguishable from the first.
+  std::size_t first_put_events = 0;
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    std::uint32_t put = 0;
+    for (const auto& r : units[u].routines())
+      if (r.name == "put") put = r.id;
+    for (auto& d : units[u].defUses()) {
+      if (d.routine != put) continue;
+      ASSERT_FALSE(d.events.empty());
+      if (u == 0) first_put_events = d.events.size();
+      else d.events.pop_back();
+    }
+  }
+  ASSERT_GT(first_put_events, 0u);
+
+  PDB merged = PDB::fromPdbFile(units[0]);
+  for (std::size_t u = 1; u < units.size(); ++u)
+    merged.merge(PDB::fromPdbFile(units[u]));
+
+  // Declared in unit 1, defined in unit 3: the definition's location,
+  // extent and calls win.
+  const pdbRoutine* shared = routineNamed(merged, "shared");
+  ASSERT_NE(shared, nullptr);
+  EXPECT_TRUE(shared->isDefined());
+  ASSERT_TRUE(shared->location().valid());
+  EXPECT_EQ(shared->location().file()->name(), "tu3.cpp");
+  ASSERT_TRUE(shared->bodyBegin().valid());
+  EXPECT_EQ(shared->bodyBegin().file()->name(), "tu3.cpp");
+  ASSERT_EQ(shared->callees().size(), 1u);
+  EXPECT_EQ(shared->callees()[0]->call()->name(), "helper3");
+  const pdbRoutine* caller = routineNamed(merged, "caller");
+  ASSERT_NE(caller, nullptr);
+  ASSERT_EQ(caller->callees().size(), 1u);
+  EXPECT_EQ(caller->callees()[0]->call(), shared);
+
+  // util, reopened in every unit, holds every unit's member once.
+  ASSERT_EQ(merged.getNamespaceVec().size(), 1u);
+  std::vector<std::string> members;
+  for (const pdbItem* m : merged.getNamespaceVec()[0]->members())
+    members.push_back(m->name());
+  EXPECT_EQ(members, (std::vector<std::string>{"from1", "from2", "from3",
+                                               "from4"}));
+
+  // Box<int>, instantiated in every unit, appears once.
+  std::size_t boxes = 0;
+  for (const pdbClass* c : merged.getClassVec()) boxes += c->name() == "Box<int>";
+  EXPECT_EQ(boxes, 1u);
+
+  // The dp rows sum: 1 + 2 + 3 + 4 calls, linked to the one put().
+  const pdbRoutine* put = routineNamed(merged, "put");
+  ASSERT_NE(put, nullptr);
+  ASSERT_EQ(merged.raw().dynProfs().size(), 1u);
+  EXPECT_EQ(merged.raw().dynProfs()[0].calls, 10u);
+  EXPECT_EQ(merged.raw().dynProfs()[0].routine,
+            static_cast<std::uint32_t>(put->id()));
+
+  // One du stream per routine; put()'s is the first unit's, shared()'s
+  // comes from unit 3, where it is defined.
+  std::size_t put_streams = 0, shared_streams = 0;
+  for (const auto& d : merged.raw().defUses()) {
+    if (d.routine == static_cast<std::uint32_t>(put->id())) {
+      ++put_streams;
+      EXPECT_EQ(d.events.size(), first_put_events);
+    }
+    shared_streams += d.routine == static_cast<std::uint32_t>(shared->id());
+  }
+  EXPECT_EQ(put_streams, 1u);
+  EXPECT_EQ(shared_streams, 1u);
+}
+
+TEST(Ductape, FoldReopenedFromBinaryHalfwayIsByteIdentical) {
+  std::vector<pdb::PdbFile> units;
+  for (int i = 1; i <= 4; ++i) units.push_back(foldUnit(i));
+
+  PDB unbroken = PDB::fromPdbFile(units[0]);
+  for (std::size_t u = 1; u < units.size(); ++u)
+    unbroken.merge(PDB::fromPdbFile(units[u]));
+
+  // Same fold, but the accumulator is written to binary after two units
+  // and the rest is folded into the database read back from it.
+  PDB first_half = PDB::fromPdbFile(units[0]);
+  first_half.merge(PDB::fromPdbFile(units[1]));
+  const std::string spilled =
+      pdb::writeString(first_half.raw(), pdb::Format::Binary);
+  auto reread = pdb::readBuffer(spilled);
+  ASSERT_TRUE(reread.ok());
+  PDB reopened = PDB::fromPdbFile(std::move(reread.pdb));
+  for (std::size_t u = 2; u < units.size(); ++u)
+    reopened.merge(PDB::fromPdbFile(units[u]));
+
+  EXPECT_EQ(pdb::writeToString(reopened.raw()),
+            pdb::writeToString(unbroken.raw()));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Determinism tests for the parallel compilation pipeline: a multi-TU
-// compile at -j 4 and a tree-reduction pdbmerge must produce output that
-// is byte-identical to the serial run.
+// compile at -j 4 and a file merge with parallel reads must produce output
+// that is byte-identical to the serial run.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,7 +13,7 @@
 #include "pdb/writer.h"
 #include "pdt/pdt_paths.h"
 #include "tools/driver.h"
-#include "tools/tools.h"
+#include "tools/shard_merge.h"
 
 namespace pdt {
 namespace {
@@ -121,30 +121,38 @@ TEST_F(ParallelDeterminismTest, CompileAndMergeIsByteIdenticalAcrossJobs) {
   EXPECT_EQ(serial_bytes, parallel_bytes);
 }
 
-TEST_F(ParallelDeterminismTest, TreeReductionMergeMatchesLeftFold) {
-  // Compile each TU to its own PDB, then merge the set serially (left
-  // fold) and with the parallel tree reduction; the results must agree
-  // byte for byte.
+TEST_F(ParallelDeterminismTest, MergeFilesIsByteIdenticalAcrossJobs) {
+  // Compile each TU to its own database file, then fold the files with
+  // serial and parallel reads, each without and with a memory budget
+  // small enough to force spills; every result must agree byte for byte.
   tools::DriverOptions unit_options = options_;
   unit_options.jobs = 1;
-  std::vector<ductape::PDB> fold_inputs;
-  std::vector<ductape::PDB> tree_inputs;
+  std::vector<std::string> files;
+  std::uintmax_t total_bytes = 0;
   for (const std::string& input : inputs_) {
-    // PDB is move-only, so compile each TU once per input set.
-    tools::DriverResult fold_unit = tools::compileAndMerge({input}, unit_options);
-    ASSERT_TRUE(fold_unit.success) << fold_unit.diagnostics;
-    fold_inputs.push_back(std::move(*fold_unit.pdb));
-    tools::DriverResult tree_unit = tools::compileAndMerge({input}, unit_options);
-    ASSERT_TRUE(tree_unit.success) << tree_unit.diagnostics;
-    tree_inputs.push_back(std::move(*tree_unit.pdb));
+    const tools::DriverResult unit = tools::compileAndMerge({input}, unit_options);
+    ASSERT_TRUE(unit.success) << unit.diagnostics;
+    files.push_back(input + ".pdb");
+    ASSERT_TRUE(unit.pdb->write(files.back()));
+    total_bytes += fs::file_size(files.back());
   }
 
-  const ductape::PDB fold = tools::pdbmerge(std::move(fold_inputs), 1);
-  const ductape::PDB tree = tools::pdbmerge(std::move(tree_inputs), 4);
-  const std::string fold_bytes = pdb::writeToString(fold.raw());
-  const std::string tree_bytes = pdb::writeToString(tree.raw());
-  ASSERT_FALSE(fold_bytes.empty());
-  EXPECT_EQ(fold_bytes, tree_bytes);
+  std::string reference;
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::uint64_t budget : {std::uint64_t{0}, total_bytes / 3}) {
+      tools::MergeOptions opts;
+      opts.jobs = jobs;
+      opts.mem_budget_bytes = budget;
+      opts.temp_dir = (dir_ / "merge.tmp").string();
+      const tools::MergeResult result = tools::mergeFiles(files, opts);
+      ASSERT_TRUE(result.ok()) << "jobs=" << jobs << " budget=" << budget;
+      EXPECT_EQ(result.stats.spills > 0, budget != 0);
+      const std::string bytes = pdb::writeToString(result.merged->raw());
+      ASSERT_FALSE(bytes.empty());
+      if (reference.empty()) reference = bytes;
+      EXPECT_EQ(bytes, reference) << "jobs=" << jobs << " budget=" << budget;
+    }
+  }
 }
 
 TEST_F(ParallelDeterminismTest, RepeatedParallelRunsAreStable) {

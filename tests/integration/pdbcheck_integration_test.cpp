@@ -5,8 +5,8 @@
 //  - seeded true positives (a known-dead routine, a known include cycle)
 //    are found,
 //  - -j N output is byte-identical to -j 1,
-//  - the installed pdbcheck/pdbmerge binaries reject databases with
-//    dangling item references with a clear message and non-zero exit.
+//  - the installed pdbcheck/pdbmerge/pdbduct binaries reject databases
+//    with dangling item references with a clear message and non-zero exit.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -186,6 +186,36 @@ TEST_F(PdbcheckIntegrationTest, BinaryExitCodesAndCorruptInputRejection) {
             1);
   EXPECT_NE(output.find("refusing to merge"), std::string::npos) << output;
   EXPECT_FALSE(fs::exists(merged));
+}
+
+TEST_F(PdbcheckIntegrationTest, PdbductRefusesDanglingReferences) {
+  // pdbduct validates what it reads like pdbcheck does: a du stream of an
+  // undefined routine, or a routine of an undefined class, is refused
+  // with exit 3 instead of being answered.
+  const ductape::PDB pdb = compile({krylov_});
+  const std::string text = pdb::writeToString(pdb.raw());
+  const std::string clean = writeFile("clean.pdb", text);
+  const auto corrupt = [&](const std::string& name, const std::string& from,
+                           const std::string& to) {
+    std::string bad = text;
+    const std::size_t at = bad.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) bad.replace(at, from.size(), to);
+    return writeFile(name, bad);
+  };
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {corrupt("bad_du.pdb", "du#1 ro#10\n", "du#1 ro#424242\n"), "ro#424242"},
+      {corrupt("bad_class.pdb", "rclass cl#1\n", "rclass cl#999\n"), "cl#999"},
+  };
+
+  std::string output;
+  EXPECT_EQ(runBinary("pdbduct", clean, &output), 0) << output;
+  for (const auto& [path, id] : cases) {
+    EXPECT_EQ(runBinary("pdbduct", clean + " " + path, &output), 3) << output;
+    EXPECT_NE(output.find("undefined " + id), std::string::npos) << output;
+    EXPECT_NE(output.find("refusing to query"), std::string::npos) << output;
+    EXPECT_EQ(runBinary("pdbcheck", path, &output), 3) << output;
+  }
 }
 
 TEST_F(PdbcheckIntegrationTest, BinaryFindingsExitOneWithSortedOutput) {

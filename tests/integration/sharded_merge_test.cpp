@@ -1,8 +1,8 @@
-// The external sharded merge must be invisible: whatever the job count
-// and however small the memory budget (i.e. however many spill round
-// trips happen), shardedMergeFiles produces a database byte-identical to
-// the in-memory tools::pdbmerge over the same inputs, and its run-scoped
-// spill directory is gone afterward — on failure too.
+// The external merge must be invisible: whatever the job count and
+// however small the memory budget (i.e. however many spill round trips
+// happen), mergeFiles produces a database byte-identical to the in-memory
+// left fold of PDB::merge over the same inputs, and its run-scoped spill
+// directory is gone afterward — on failure too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,7 +16,6 @@
 #include "pdb/writer.h"
 #include "tools/shard_merge.h"
 #include "tools/synth.h"
-#include "tools/tools.h"
 
 namespace pdt::tools {
 namespace {
@@ -48,15 +47,16 @@ class ShardedMergeTest : public ::testing::Test {
     fs::remove_all(dir_, ec);
   }
 
-  /// The in-memory merge's canonical serialization — the byte-identity
-  /// reference for every sharded configuration.
+  /// The in-memory left fold's canonical serialization — the
+  /// byte-identity reference for every jobs/budget configuration.
   [[nodiscard]] std::string inMemoryAscii() const {
-    std::vector<ductape::PDB> loaded;
-    for (const std::string& path : inputs_) {
-      loaded.push_back(ductape::PDB::read(path));
-      EXPECT_TRUE(loaded.back().valid()) << loaded.back().errorMessage();
+    ductape::PDB merged = ductape::PDB::read(inputs_.front());
+    for (std::size_t i = 1; i < inputs_.size(); ++i) {
+      const ductape::PDB unit = ductape::PDB::read(inputs_[i]);
+      EXPECT_TRUE(unit.valid()) << unit.errorMessage();
+      merged.merge(unit);
     }
-    return pdb::writeToString(pdbmerge(std::move(loaded)).raw());
+    return pdb::writeToString(merged.raw());
   }
 
   [[nodiscard]] std::string tempDir() const {
@@ -71,23 +71,26 @@ class ShardedMergeTest : public ::testing::Test {
 TEST_F(ShardedMergeTest, ByteIdenticalAcrossJobsAndBudgets) {
   const std::string reference = inMemoryAscii();
   // Budgets: unlimited, roomy, and one well below the total input size
-  // (so partials must spill to stay under it).
+  // (so the accumulator must spill to stay under it).
   const std::uint64_t budgets[] = {0, total_input_bytes_ * 4,
                                    total_input_bytes_ / 6};
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{2},
                                  std::size_t{5}, std::size_t{8}}) {
     for (const std::uint64_t budget : budgets) {
-      ShardedMergeOptions opts;
+      MergeOptions opts;
       opts.jobs = jobs;
       opts.mem_budget_bytes = budget;
       opts.temp_dir = tempDir();
-      const ShardedMergeResult result = shardedMergeFiles(inputs_, opts);
+      const MergeResult result = mergeFiles(inputs_, opts);
       ASSERT_TRUE(result.ok())
           << "jobs=" << jobs << " budget=" << budget << ": "
-          << (result.errors.empty() ? "?" : result.errors.front());
+          << (result.errors.empty() ? "?" : result.errors.front().message);
       EXPECT_EQ(pdb::writeToString(result.merged->raw()), reference)
           << "jobs=" << jobs << " budget=" << budget;
-      EXPECT_EQ(result.stats.shards, std::min<std::uint64_t>(jobs, kUnits));
+      if (budget == 0 || budget > total_input_bytes_)
+        EXPECT_EQ(result.stats.spills, 0u);
+      else
+        EXPECT_GT(result.stats.spills, 0u);
       EXPECT_FALSE(fs::exists(tempDir()))
           << "spill dir survived jobs=" << jobs << " budget=" << budget;
     }
@@ -96,25 +99,25 @@ TEST_F(ShardedMergeTest, ByteIdenticalAcrossJobsAndBudgets) {
 
 TEST_F(ShardedMergeTest, TinyBudgetForcesSpillsWithoutChangingBytes) {
   const std::string reference = inMemoryAscii();
-  ShardedMergeOptions opts;
+  MergeOptions opts;
   opts.jobs = 2;
-  // Each worker's slice is smaller than any two inputs combined, so
-  // every shard fold has to spill repeatedly.
+  // The budget is about three inputs' worth, so the fold has to spill
+  // every few inputs.
   opts.mem_budget_bytes = (total_input_bytes_ / kUnits) * 3;
   opts.temp_dir = tempDir();
-  const ShardedMergeResult result = shardedMergeFiles(inputs_, opts);
+  const MergeResult result = mergeFiles(inputs_, opts);
   ASSERT_TRUE(result.ok())
-      << (result.errors.empty() ? "?" : result.errors.front());
+      << (result.errors.empty() ? "?" : result.errors.front().message);
   EXPECT_GT(result.stats.spills, 0u);
   EXPECT_EQ(pdb::writeToString(result.merged->raw()), reference);
   EXPECT_FALSE(fs::exists(tempDir()));
 }
 
 TEST_F(ShardedMergeTest, UnlimitedBudgetNeverSpills) {
-  ShardedMergeOptions opts;
+  MergeOptions opts;
   opts.jobs = 4;
   opts.temp_dir = tempDir();
-  const ShardedMergeResult result = shardedMergeFiles(inputs_, opts);
+  const MergeResult result = mergeFiles(inputs_, opts);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.stats.spills, 0u);
   EXPECT_FALSE(fs::exists(tempDir()));
@@ -122,7 +125,7 @@ TEST_F(ShardedMergeTest, UnlimitedBudgetNeverSpills) {
 
 TEST_F(ShardedMergeTest, BadInputIsReportedInOrderAndTempDirIsCleaned) {
   // Corrupt the middle input; keep a second, later bad input to check
-  // the errors come back in input order even across shards.
+  // the errors come back in input order even with reads in flight.
   {
     std::ofstream os(inputs_[kUnits / 2], std::ios::binary | std::ios::trunc);
     os << "not a database";
@@ -132,19 +135,19 @@ TEST_F(ShardedMergeTest, BadInputIsReportedInOrderAndTempDirIsCleaned) {
                      std::ios::binary | std::ios::trunc);
     os << "also not a database";
   }
-  ShardedMergeOptions opts;
+  MergeOptions opts;
   opts.jobs = 3;
   opts.mem_budget_bytes = total_input_bytes_ / 6;  // spill dir gets created
   opts.temp_dir = tempDir();
-  const ShardedMergeResult result = shardedMergeFiles(inputs_, opts);
+  const MergeResult result = mergeFiles(inputs_, opts);
   EXPECT_FALSE(result.ok());
   ASSERT_EQ(result.errors.size(), 2u);
-  EXPECT_NE(result.errors[0].find("tu" + std::to_string(kUnits / 2)),
+  EXPECT_NE(result.errors[0].path.find("tu" + std::to_string(kUnits / 2)),
             std::string::npos)
-      << result.errors[0];
-  EXPECT_NE(result.errors[1].find("tu" + std::to_string(kUnits - 1)),
+      << result.errors[0].path;
+  EXPECT_NE(result.errors[1].path.find("tu" + std::to_string(kUnits - 1)),
             std::string::npos)
-      << result.errors[1];
+      << result.errors[1].path;
   EXPECT_FALSE(fs::exists(tempDir())) << "spill dir survived failed merge";
 }
 

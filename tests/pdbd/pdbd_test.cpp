@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -317,6 +321,71 @@ TEST_F(ServiceTest, ConnectionLoopFramesRequestsAndAnswersInOrder) {
   EXPECT_TRUE(lookup.flag("ok"));
   EXPECT_NE(lookup.str("text").find("leaf"), std::string::npos);
   EXPECT_FALSE(std::getline(lines, line));
+}
+
+// ---------------------------------------------------------------------------
+// listener (runServer over a real Unix socket)
+// ---------------------------------------------------------------------------
+
+int connectTo(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  for (int attempt = 0; attempt < 200; ++attempt) {  // until it listens
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0)
+      return fd;
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
+/// Sends one request line and returns the one response line.
+std::string request(int fd, const std::string& line) {
+  const std::string framed = line + "\n";
+  EXPECT_EQ(::send(fd, framed.data(), framed.size(), 0),
+            static_cast<ssize_t>(framed.size()));
+  std::string reply;
+  char c = 0;
+  while (::recv(fd, &c, 1, 0) == 1 && c != '\n') reply.push_back(c);
+  return reply;
+}
+
+TEST_F(ServiceTest, ShutdownDoesNotWaitForIdleConnections) {
+  Service service;
+  std::string error;
+  ASSERT_TRUE(service.load(alpha_, error)) << error;
+  const std::string socket_path = (dir_ / "pdbd.sock").string();
+  std::promise<int> exit_code;
+  std::future<int> returned = exit_code.get_future();
+  std::ostringstream log;
+  std::thread server(
+      [&] { exit_code.set_value(runServer(service, socket_path, log)); });
+
+  // One client asks once and then stays connected without a word; a
+  // second asks for shutdown and stays connected too.
+  const int idle = connectTo(socket_path);
+  ASSERT_GE(idle, 0);
+  EXPECT_TRUE(roundTrip(request(idle, R"({"q": "status"})")).flag("ok"));
+  const int asker = connectTo(socket_path);
+  ASSERT_GE(asker, 0);
+  EXPECT_TRUE(roundTrip(request(asker, R"({"q": "shutdown"})")).flag("ok"));
+
+  const bool drained =
+      returned.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  EXPECT_TRUE(drained) << "runServer waited on the open connections";
+  if (drained) {
+    // The daemon closed both connections: each client reads EOF.
+    char byte = 0;
+    EXPECT_EQ(::recv(idle, &byte, 1, 0), 0);
+    EXPECT_EQ(::recv(asker, &byte, 1, 0), 0);
+  }
+  ::close(idle);
+  ::close(asker);
+  server.join();
+  EXPECT_EQ(returned.get(), 0);
+  EXPECT_FALSE(fs::exists(socket_path));
 }
 
 }  // namespace

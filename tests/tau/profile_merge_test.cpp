@@ -239,4 +239,39 @@ TEST(ProfileMerge, AttachesDpSectionLinkedToRoutines) {
   EXPECT_EQ(pdt::pdb::writeString(reread.pdb, pdt::pdb::Format::Ascii), ascii);
 }
 
+TEST(ProfileMerge, LinksRowsToTheMemberOfTheirType) {
+  // Two classes with same-named members; the other class's members get
+  // the lower ids, so a link by bare name alone would pick them.
+  pdt::pdb::PdbFile pdb;
+  pdt::pdb::ClassItem other;
+  other.name = "Other";
+  const std::uint32_t other_id = pdb.addClass(std::move(other));
+  pdt::pdb::ClassItem vec;
+  vec.name = "Vec<double>";
+  const std::uint32_t vec_id = pdb.addClass(std::move(vec));
+  const auto member = [&pdb](std::string_view name, std::uint32_t cls) {
+    pdt::pdb::RoutineItem r;
+    r.name = name;
+    r.parent = pdt::pdb::ItemRef{pdt::pdb::ItemKind::Class, cls};
+    return pdb.addRoutine(std::move(r));
+  };
+  member("size", other_id);
+  member("operator()", other_id);
+  const std::uint32_t vec_size = member("size", vec_id);
+  const std::uint32_t vec_call = member("operator()", vec_id);
+
+  const MergedProfile merged = pdt::tau::mergeThreadProfiles({makeProfile(
+      0, 1, 0,
+      {{"size()", "Vec<double>", 1, 3, 0, 300, 300},
+       {"operator()()", "Vec<double>", 1, 5, 0, 500, 500}})});
+  EXPECT_EQ(pdt::tau::attachDynProfSection(merged, pdb), 2u);
+  const auto routineOf = [&pdb](std::string_view name) {
+    for (const auto& p : pdb.dynProfs())
+      if (p.name == name) return p.routine;
+    return std::uint32_t{0};
+  };
+  EXPECT_EQ(routineOf("size() <Vec<double>>"), vec_size);
+  EXPECT_EQ(routineOf("operator()() <Vec<double>>"), vec_call);
+}
+
 }  // namespace

@@ -1,16 +1,21 @@
 // Tests for the four DUCTAPE utilities (paper Table 2).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <sstream>
 
 #include "frontend/frontend.h"
 #include "ilanalyzer/analyzer.h"
 #include "pdb/pdb.h"
+#include "tools/shard_merge.h"
 #include "tools/tools.h"
 
 namespace pdt::tools {
 namespace {
 
+namespace fs = std::filesystem;
 using ductape::PDB;
 
 PDB compileToPdb(const std::string& name, const std::string& source) {
@@ -169,22 +174,31 @@ TEST(Pdbtree, IncludeTree) {
 }
 
 // ---------------------------------------------------------------------------
-// pdbmerge (library entry)
+// pdbmerge (library entry: the file fold)
 // ---------------------------------------------------------------------------
 
 TEST(Pdbmerge, MergesManyInputs) {
-  std::vector<PDB> inputs;
-  inputs.push_back(compileToPdb("a.cpp", "void fa() {}\n"));
-  inputs.push_back(compileToPdb("b.cpp", "void fb() {}\n"));
-  inputs.push_back(compileToPdb("c.cpp", "void fc() {}\n"));
-  const PDB merged = pdbmerge(std::move(inputs));
-  EXPECT_EQ(merged.getRoutineVec().size(), 3u);
-  EXPECT_EQ(merged.getFileVec().size(), 3u);
+  const fs::path dir = fs::temp_directory_path() /
+                       ("pdt_tools_merge_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  std::vector<std::string> paths;
+  for (const char* name : {"a", "b", "c"}) {
+    const std::string file = std::string(name) + ".cpp";
+    const std::string source = std::string("void f") + name + "() {}\n";
+    paths.push_back((dir / (std::string(name) + ".pdb")).string());
+    ASSERT_TRUE(compileToPdb(file, source).write(paths.back()));
+  }
+  const MergeResult result = mergeFiles(paths, {});
+  fs::remove_all(dir);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.merged->getRoutineVec().size(), 3u);
+  EXPECT_EQ(result.merged->getFileVec().size(), 3u);
 }
 
 TEST(Pdbmerge, EmptyInputYieldsEmptyPdb) {
-  const PDB merged = pdbmerge({});
-  EXPECT_TRUE(merged.getItemVec().empty());
+  const MergeResult result = mergeFiles({}, {});
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result.merged->getItemVec().empty());
 }
 
 }  // namespace
